@@ -79,6 +79,14 @@ GOLDEN_SWEEP_SHA = (
     "1c6c4e7abdb5ec00e5894c564614c2ed"
 )
 
+#: sha256 of the canonical JSONL of a small chaos run with rollups (see
+#: ``TestChaosSweep.test_chaos_rows_golden``): pins the chaos row shape
+#: and content across refactors of the fan-out engines.
+GOLDEN_CHAOS_SHA = (
+    "322ffbc0ee4b60b3212195250cc3aa9b"
+    "2a9194ca1827ead0bb905ac6beabefe4"
+)
+
 
 class TestNoFaultGoldens:
     def test_default_spec_hash_unchanged(self):
@@ -333,6 +341,19 @@ class TestResilientSession:
 
 
 class TestChaosSweep:
+    def test_chaos_rows_golden(self, tiny_prepared):
+        from repro.experiments.chaos import run_chaos
+        from repro.experiments.sweep import rows_to_jsonl
+
+        rows = run_chaos(
+            profiles=["mixed", "resets"], seeds=(0, 1),
+            base={"video": "tinytest", "buffer_segments": 2},
+            prepared_map={"tinytest": tiny_prepared},
+            rollup=True,
+        )
+        sha = hashlib.sha256(rows_to_jsonl(rows).encode()).hexdigest()
+        assert sha == GOLDEN_CHAOS_SHA
+
     def test_chaos_rows_deterministic_across_workers(self, tiny_prepared):
         from repro.experiments.chaos import chaos_rows_to_jsonl, run_chaos
 
