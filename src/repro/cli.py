@@ -355,36 +355,59 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _exec_policy(args: argparse.Namespace):
-    """Supervision policy from ``--task-timeout``/``--task-retries``.
+def _campaign_options(args: argparse.Namespace) -> Dict:
+    """Engine keywords from the :func:`_add_campaign_flags` flags.
 
-    Returns None when neither flag was given, keeping the default
-    policy (and the serial in-process fast path at ``--workers 1``).
+    The supervision policy stays None when neither ``--task-timeout``
+    nor ``--task-retries`` was given, keeping the default policy (and
+    the serial in-process fast path at ``--workers 1``).  CLI runs never
+    raise on exhausted tasks: they degrade and exit 3.
     """
-    if args.task_timeout is None and args.task_retries is None:
-        return None
-    from repro.experiments.execution import DEFAULT_POLICY, ExecutionPolicy
+    policy = None
+    if args.task_timeout is not None or args.task_retries is not None:
+        from repro.experiments.execution import DEFAULT_POLICY, ExecutionPolicy
 
-    return ExecutionPolicy(
-        task_timeout_s=args.task_timeout,
-        max_attempts=(
-            args.task_retries if args.task_retries is not None
-            else DEFAULT_POLICY.max_attempts
-        ),
+        policy = ExecutionPolicy(
+            task_timeout_s=args.task_timeout,
+            max_attempts=(
+                args.task_retries if args.task_retries is not None
+                else DEFAULT_POLICY.max_attempts
+            ),
+        )
+    return dict(
+        workers=args.workers, policy=policy, checkpoint_dir=args.resume,
+        strict=False,
     )
 
 
-def _degraded_cells_exit(rows: List[Dict]) -> int:
-    """Exit code for a sweep/chaos row list: 3 when any cell degraded."""
-    degraded = [row for row in rows if "degraded" in row]
-    if not degraded:
+def _write_out(path: Optional[str], text: str, what: str) -> bool:
+    """Atomically write a campaign artifact to ``--out`` (if given).
+
+    Returns False after a one-line error when the file cannot be
+    written (the caller exits 2).
+    """
+    if not path:
+        return True
+    from repro.ioutil import atomic_write_text
+
+    try:
+        atomic_write_text(path, text)
+    except OSError as exc:
+        print(f"error: cannot write {path!r}: {exc}", file=sys.stderr)
+        return False
+    print(f"wrote {what} to {path}", file=sys.stderr)
+    return True
+
+
+def _degraded_exit(missing: List[str], total: int, unit: str) -> int:
+    """Exit code of a campaign: 3 when any task is missing, else 0."""
+    if not missing:
         return 0
     from repro.experiments.execution import EXIT_DEGRADED
 
-    names = ", ".join(row["label"] for row in degraded)
     print(
-        f"degraded run: {len(degraded)}/{len(rows)} cell(s) missing "
-        f"({names}); remaining rows are valid",
+        f"degraded run: {len(missing)}/{total} {unit}(s) missing "
+        f"({', '.join(missing)}); the remaining results are valid",
         file=sys.stderr,
     )
     return EXIT_DEGRADED
@@ -606,20 +629,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"error: invalid fleet spec: {exc}", file=sys.stderr)
         return 2
 
-    profiler = prev = None
-    if args.profile:
-        from repro.obs import spans
+    from repro.obs import spans
 
-        profiler = spans.SpanProfiler()
-        prev = spans.install(profiler)
+    profiler = spans.SpanProfiler() if args.profile else None
+    prev = spans.install(profiler) if profiler is not None else None
     start = perf_counter()
     try:
-        result = run_fleet(
-            spec, workers=args.workers,
-            policy=_exec_policy(args),
-            checkpoint_dir=args.resume,
-            strict=False,
-        )
+        result = run_fleet(spec, **_campaign_options(args))
     except ValueError as exc:
         # Bad worker count or a checkpoint dir from a different run.
         print(f"error: {exc}", file=sys.stderr)
@@ -627,8 +643,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     finally:
         if profiler is not None:
             profiler.finalize()
-            from repro.obs import spans
-
             spans.install(prev)
     wall_s = perf_counter() - start
     resumed = f", {result.resumed} shard(s) from checkpoint" \
@@ -642,18 +656,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     report = result.report()
     report["fleet_hash"] = result.fleet_hash()
-    if args.out:
-        from repro.ioutil import atomic_write_json
-
-        try:
-            atomic_write_json(args.out, report)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote fleet report to {args.out}", file=sys.stderr)
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if not _write_out(args.out, text + "\n", "fleet report"):
+        return 2
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text)
     else:
         print(format_fleet_report(result))
     if profiler is not None:
@@ -665,17 +672,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
         print(format_ledger(ledger))
     _maybe_print_metrics(args)
-    if result.degraded is not None:
-        from repro.experiments.execution import EXIT_DEGRADED
-
-        block = result.degraded
-        print(
-            f"degraded run: {block['completed']}/{block['total']} "
-            f"shards completed (partial statistics above)",
-            file=sys.stderr,
-        )
-        return EXIT_DEGRADED
-    return 0
+    missing = (result.degraded or {}).get("missing", [])
+    return _degraded_exit(
+        [block["label"] for block in missing], spec.shards, "shard"
+    )
 
 
 # Figure registry: name -> (callable path, light kwargs).
@@ -941,28 +941,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             rows = dry_run_rows(sweep)
         else:
             rows = run_sweep(
-                sweep, workers=args.workers, rollup=args.rollup,
+                sweep, rollup=args.rollup,
                 sample_rate=args.sample, sample_seed=args.sample_seed,
                 profile=args.profile,
-                policy=_exec_policy(args),
-                checkpoint_dir=args.resume,
-                strict=False,
+                **_campaign_options(args),
             )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     jsonl = rows_to_jsonl(rows)
-    if args.out:
-        from repro.ioutil import atomic_write_text
-
-        try:
-            atomic_write_text(args.out, jsonl)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    if not _write_out(args.out, jsonl, f"{len(rows)} rows"):
+        return 2
     if args.json or not args.out:
         if args.dry_run and not args.json:
             print(f"{len(rows)} scenarios:")
@@ -970,16 +960,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 print(f"  {row['spec_hash']}  {row['label']}")
         else:
             print(jsonl, end="")
-    return _degraded_cells_exit(rows) if not args.dry_run else 0
+    if args.dry_run:
+        return 0
+    missing = [row["label"] for row in rows if "degraded" in row]
+    return _degraded_exit(missing, len(rows), "cell")
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     from repro.experiments.chaos import (
         CHAOS_PROFILES,
-        chaos_rows_to_jsonl,
         format_chaos_report,
         run_chaos,
     )
+    from repro.experiments.sweep import rows_to_jsonl
 
     if args.list_profiles:
         if args.json:
@@ -1010,28 +1003,18 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     try:
         rows = run_chaos(
             profiles=profiles, seeds=seeds, base=base,
-            workers=args.workers, rollup=args.rollup,
+            rollup=args.rollup,
             sample_rate=args.sample, sample_seed=args.sample_seed,
             profile=args.profile,
-            policy=_exec_policy(args),
-            checkpoint_dir=args.resume,
-            strict=False,
+            **_campaign_options(args),
         )
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    jsonl = chaos_rows_to_jsonl(rows)
-    if args.out:
-        from repro.ioutil import atomic_write_text
-
-        try:
-            atomic_write_text(args.out, jsonl)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    jsonl = rows_to_jsonl(rows)
+    if not _write_out(args.out, jsonl, f"{len(rows)} rows"):
+        return 2
     if args.json:
         print(jsonl, end="")
     else:
@@ -1041,7 +1024,13 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         not row.get("audit", {"ok": True})["ok"] for row in rows
     ):
         return 1
-    return _degraded_cells_exit(rows)
+    # Chaos cells share one spec label per profile; name them by
+    # profile and seed, as the pool's failure labels do.
+    missing = [
+        f"{row['profile']}/seed{row['seed']}"
+        for row in rows if "degraded" in row
+    ]
+    return _degraded_exit(missing, len(rows), "cell")
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
@@ -1074,12 +1063,22 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    """Supervised-pool flags shared by the fan-out commands.
+def _add_campaign_flags(
+    parser: argparse.ArgumentParser, tasks: str, out_help: str
+) -> None:
+    """Fan-out flags shared by fleet/sweep/faults: workers, output, and
+    the supervised pool's resume/deadline/retry knobs.
 
     ``--workers`` must be a positive integer (exit 2 otherwise) and is
     capped at the task count — extra workers would only idle.
     """
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help=f"worker processes across {tasks} (the output is "
+        "byte-identical to --workers 1)",
+    )
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help=out_help)
     parser.add_argument(
         "--resume", default=None, metavar="DIR",
         help="checkpoint spool directory: completed tasks are written "
@@ -1106,6 +1105,11 @@ def _add_rollup_flags(parser: argparse.ArgumentParser) -> None:
         help="attach a streaming fleet rollup + causal stall attributor "
         "(memory-bounded; no per-event history)",
     )
+    _add_sampling_flags(parser)
+
+
+def _add_sampling_flags(parser: argparse.ArgumentParser) -> None:
+    """Head-sampling flags of the rollup (fleet always rolls up)."""
     parser.add_argument(
         "--sample", type=float, default=1.0, metavar="RATE",
         help="per-session head-sampling rate for the rollup "
@@ -1351,11 +1355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument("--shards", type=int, default=8,
                          help="cells; each gets its own kernel, "
                          "bottleneck, and trace weather")
-    p_fleet.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes across shards (the fleet report and "
-        "hash are byte-identical to --workers 1)",
-    )
     p_fleet.add_argument("--trace", default="verizon",
                          help="per-shard bottleneck trace (seeded "
                          "seed+shard)")
@@ -1372,21 +1371,15 @@ def build_parser() -> argparse.ArgumentParser:
         "overrides the population flags",
     )
     p_fleet.add_argument(
-        "--sample", type=float, default=1.0, metavar="RATE",
-        help="per-session head-sampling rate for the rollup "
-        "(default 1.0; deterministic per session id)",
-    )
-    p_fleet.add_argument("--sample-seed", type=int, default=0,
-                         help="seed of the session-sampling hash")
-    p_fleet.add_argument(
         "--profile", action="store_true",
         help="fold per-shard span trees and print the perf ledger",
     )
-    p_fleet.add_argument("--out", default=None, metavar="PATH",
-                         help="write the fleet report JSON to this file")
     p_fleet.add_argument("--metrics", action="store_true",
                          help="print the metrics registry after the run")
-    _add_resilience_flags(p_fleet)
+    _add_sampling_flags(p_fleet)
+    _add_campaign_flags(
+        p_fleet, "shards", "write the fleet report JSON to this file"
+    )
 
     p_figure = sub.add_parser(
         "figure", help="regenerate a paper table/figure"
@@ -1429,13 +1422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--reps", type=int, default=3,
                          help="repetitions per cell (grid-flag mode)")
     p_sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes across cells (results are "
-        "byte-identical to --workers 1)",
-    )
-    p_sweep.add_argument("--out", default=None, metavar="PATH",
-                         help="write JSONL rows to this file")
-    p_sweep.add_argument(
         "--dry-run", action="store_true", dest="dry_run",
         help="expand and validate the grid without simulating",
     )
@@ -1450,7 +1436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'ledger' key (works at any --workers count)",
     )
     _add_rollup_flags(p_sweep)
-    _add_resilience_flags(p_sweep)
+    _add_campaign_flags(p_sweep, "cells", "write JSONL rows to this file")
 
     p_faults = sub.add_parser(
         "faults",
@@ -1477,13 +1463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_faults.add_argument("--retry-budget", type=int, default=None,
                           help="retries per segment (default 3)")
     p_faults.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes across cells (results are "
-        "byte-identical to --workers 1)",
-    )
-    p_faults.add_argument("--out", default=None, metavar="PATH",
-                          help="write JSONL rows to this file")
-    p_faults.add_argument(
         "--check-invariants", action="store_true",
         help="exit 1 if any cell's inline invariant audit fails",
     )
@@ -1499,7 +1478,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'ledger' key (works at any --workers count)",
     )
     _add_rollup_flags(p_faults)
-    _add_resilience_flags(p_faults)
+    _add_campaign_flags(p_faults, "cells", "write JSONL rows to this file")
 
     p_survey = sub.add_parser("survey", help="run the simulated user study")
     p_survey.add_argument("--clips", type=int, default=8)

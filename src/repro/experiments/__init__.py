@@ -1,5 +1,6 @@
 """Experiment harness: runner, per-figure reproductions, user survey."""
 
+from repro.experiments.campaign import run_campaign
 from repro.experiments.execution import (
     EXIT_DEGRADED,
     CheckpointError,
@@ -33,7 +34,6 @@ from repro.experiments.runner import (
     ExperimentConfig,
     TrialSummary,
     compare,
-    fork_map,
     run_single,
     run_trials,
 )
@@ -75,7 +75,7 @@ __all__ = [
     "build_shard",
     "compare",
     "expand_population",
-    "fork_map",
+    "run_campaign",
     "format_fleet_report",
     "run_fleet",
     "run_multiclient",

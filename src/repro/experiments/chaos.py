@@ -19,29 +19,14 @@ CLI: ``repro faults --profiles blackouts,mixed --seeds 0,1,2
 
 from __future__ import annotations
 
-import json
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.build import StackBuilder
 from repro.core.spec import ScenarioSpec
-from repro.experiments.execution import (
-    CheckpointStore,
-    ExecutionError,
-    ExecutionPolicy,
-    execute,
-)
-from repro.experiments.sweep import sweep_run_key
+from repro.experiments.execution import ExecutionPolicy
+from repro.experiments.sweep import identity_row, run_cells, run_scenario_cell
 from repro.faults import FAULTS
-from repro.obs import spans as _spans
-from repro.obs.attribution import FleetAttributor
 from repro.obs.invariants import TraceAuditor
-from repro.obs.ledger import build_ledger
-from repro.obs.metrics import scoped_registry
-from repro.obs.profiling import enable_profiling, profiling_enabled
-from repro.obs.rollup import TraceRollup
-from repro.obs.tracer import Tracer
-from repro.prep.prepare import PreparedVideo, get_prepared
+from repro.prep.prepare import PreparedVideo
 
 #: Named fault schedules for chaos runs.  Each value is a FaultSpec
 #: dict; counts/durations are sized for a few-minute session.
@@ -95,7 +80,8 @@ def chaos_cells(
 
     Deterministic expansion order: profiles outermost, seeds inner —
     mirroring the sweep engine, so any worker count folds results
-    identically.
+    identically.  A chaos cell streams one session, so ``base`` may not
+    ask for repetitions.
     """
     fields = dict(DEFAULT_BASE)
     fields.update(base or {})
@@ -110,86 +96,40 @@ def chaos_cells(
             cell = dict(fields)
             cell["faults"] = CHAOS_PROFILES[profile]
             cell["seed"] = int(seed)
-            cells.append((profile, ScenarioSpec.from_dict(cell)))
+            spec = ScenarioSpec.from_dict(cell)
+            if spec.repetitions != 1:
+                raise ValueError(
+                    "a chaos cell streams one session; base "
+                    f"repetitions must be 1, got {spec.repetitions}"
+                )
+            cells.append((profile, spec))
     return cells
 
 
 # ---------------------------------------------------------------------------
-#: Prepared videos for fork()ed chaos workers (same contract as the
-#: sweep engine's module-global: inherited via the fork memory snapshot).
-_CHAOS_PREPARED_MAP: Optional[Dict[str, PreparedVideo]] = None
-
-#: ``(sample_rate, sample_seed)`` when chaos cells collect streaming
-#: rollups (same fork-inheritance contract as the prepared map).
-_CHAOS_ROLLUP: Optional[Tuple[float, int]] = None
-
-#: ``(profile, timers)`` snapshot for workers — same contract as the
-#: sweep engine's ``_SWEEP_PROFILE``: re-applied per cell so forked
-#: workers honour ``--profile`` and the timer flag.
-_CHAOS_PROFILE: Optional[Tuple[bool, bool]] = None
-
-
-def _chaos_worker(item: Tuple[str, ScenarioSpec]) -> Dict:
-    """Run one chaos cell: stream with the inline auditor attached."""
-    profile, spec = item
-    do_profile, timers = (
-        _CHAOS_PROFILE
-        if _CHAOS_PROFILE is not None
-        else (False, profiling_enabled())
+def _chaos_cell(
+    prepared_map: Optional[Dict[str, PreparedVideo]],
+    profile: bool,
+    sampling: Optional[Tuple[float, int]],
+    spec: ScenarioSpec,
+) -> Dict:
+    """One chaos cell: the sweep cell path plus the inline auditor."""
+    auditor = TraceAuditor()
+    summary, extras = run_scenario_cell(
+        spec, prepared_map, profile=profile, sampling=sampling,
+        observers=[auditor.feed],
     )
-    enable_profiling(timers)
-    prepared = None
-    if _CHAOS_PREPARED_MAP is not None:
-        prepared = _CHAOS_PREPARED_MAP.get(spec.video)
-    # Install the cell profiler before the tracer (and, inside
-    # stream_spec, the rest of the stack) is built: spans capture
-    # their profiler at construction time.
-    prof = _spans.SpanProfiler() if do_profile else None
-    prev = _spans.install(prof) if do_profile else None
-    t0 = time.perf_counter()
-    try:
-        auditor = TraceAuditor()
-        observers = [auditor.feed]
-        rollup = fleet = None
-        if _CHAOS_ROLLUP is not None:
-            rate, sample_seed = _CHAOS_ROLLUP
-            rollup = TraceRollup(sample_rate=rate, sample_seed=sample_seed)
-            fleet = FleetAttributor()
-            observers += [rollup.feed, fleet.feed]
-        tracer = Tracer(observers=observers)
-        with scoped_registry(merge=False):
-            from repro.core.api import stream_spec
-
-            result = stream_spec(spec, prepared=prepared, tracer=tracer)
-    finally:
-        if do_profile:
-            prof.finalize()
-            _spans.install(prev)
-    wall_s = time.perf_counter() - t0
     report = auditor.finalize()
-    summary = result.metrics.summary()
-    row = {
-        "spec_hash": spec.spec_hash(),
-        "label": spec.label(),
-        "profile": profile,
-        "seed": spec.seed,
-        "spec": spec.to_dict(),
-        "summary": summary,
-        "audit": {
+    return dict(
+        identity_row(spec),
+        summary=summary.sessions[0].summary(),
+        audit={
             "ok": report.ok,
             "events": report.events,
             "violations": [str(v) for v in report.violations],
         },
-    }
-    if rollup is not None:
-        row["rollup"] = rollup.to_dict()
-        row["attribution"] = fleet.combined().to_dict()
-    if do_profile:
-        row["ledger"] = build_ledger(
-            prof, wall_s, label=spec.label(),
-            spec_hash=spec.spec_hash(), meta=False,
-        )
-    return row
+        **extras,
+    )
 
 
 def run_chaos(
@@ -242,71 +182,18 @@ def run_chaos(
     if profiles is None:
         profiles = sorted(CHAOS_PROFILES)
     cells = chaos_cells(profiles, seeds, base)
-    for _, spec in cells:
-        StackBuilder(spec, prepared_map=prepared_map).validate()
-    for video in dict.fromkeys(spec.video for _, spec in cells):
-        if prepared_map is None or video not in prepared_map:
-            get_prepared(video)
-    checkpoint = None
-    if checkpoint_dir is not None:
-        checkpoint = CheckpointStore(
-            checkpoint_dir,
-            run_key=sweep_run_key(
-                [spec for _, spec in cells], rollup=rollup,
-                sample_rate=sample_rate, sample_seed=sample_seed,
-                profile=profile, kind="chaos",
-            ),
-            tasks=len(cells),
-        )
-    global _CHAOS_PREPARED_MAP, _CHAOS_ROLLUP, _CHAOS_PROFILE
-    _CHAOS_PREPARED_MAP = prepared_map
-    _CHAOS_ROLLUP = (
-        (float(sample_rate), int(sample_seed)) if rollup else None
+    rows = run_cells(
+        _chaos_cell,
+        [spec for _, spec in cells],
+        [f"cell {name}/seed{spec.seed}" for name, spec in cells],
+        kind="chaos", workers=workers, prepared_map=prepared_map,
+        rollup=rollup, sample_rate=sample_rate, sample_seed=sample_seed,
+        profile=profile, policy=policy, checkpoint_dir=checkpoint_dir,
+        strict=strict,
     )
-    _CHAOS_PROFILE = (bool(profile), profiling_enabled())
-    try:
-        outcome = execute(
-            _chaos_worker,
-            cells,
-            workers=workers,
-            policy=policy,
-            labels=[
-                f"cell {name}/seed{spec.seed}" for name, spec in cells
-            ],
-            checkpoint=checkpoint,
-        )
-    finally:
-        _CHAOS_PREPARED_MAP = None
-        _CHAOS_ROLLUP = None
-        _CHAOS_PROFILE = None
-    if strict and outcome.failures:
-        raise ExecutionError(outcome.failures, total=len(cells))
-    failures = {failure.index: failure for failure in outcome.failures}
-    rows = []
-    for i, ((name, spec), row) in enumerate(zip(cells, outcome.results)):
-        if i in failures:
-            rows.append({
-                "spec_hash": spec.spec_hash(),
-                "label": spec.label(),
-                "profile": name,
-                "seed": spec.seed,
-                "spec": spec.to_dict(),
-                "degraded": {
-                    "attempts": failures[i].attempts,
-                    "causes": list(failures[i].causes),
-                },
-            })
-        else:
-            rows.append(row)
+    for (name, spec), row in zip(cells, rows):
+        row.update(profile=name, seed=spec.seed)
     return rows
-
-
-def chaos_rows_to_jsonl(rows: Sequence[Dict]) -> str:
-    """Serialize chaos rows as canonical JSONL."""
-    return "\n".join(
-        json.dumps(row, sort_keys=True, separators=(",", ":"))
-        for row in rows
-    ) + ("\n" if rows else "")
 
 
 def format_chaos_report(rows: Sequence[Dict]) -> str:
@@ -352,7 +239,6 @@ __all__ = [
     "CHAOS_PROFILES",
     "DEFAULT_BASE",
     "chaos_cells",
-    "chaos_rows_to_jsonl",
     "format_chaos_report",
     "run_chaos",
     "FAULTS",

@@ -1,8 +1,9 @@
 """Crash-tolerant task execution: supervised fork pool + checkpoints.
 
 Every fan-out engine (``run_trials``, ``run_sweep``, ``run_chaos``,
-``run_fleet``) fans independent tasks out over fork()ed workers and
-folds the results back in task order.  A bare ``ProcessPoolExecutor``
+``run_fleet``) fans independent tasks out over fork()ed workers through
+:func:`repro.experiments.campaign.run_campaign` and folds the results
+back in task order.  A bare ``ProcessPoolExecutor``
 makes that fragile: one segfaulted, OOM-killed, or hung worker aborts
 the whole campaign with an opaque ``BrokenProcessPool``, and nothing
 completed so far survives a Ctrl-C.  This module is the resilient
@@ -217,6 +218,11 @@ class MapOutcome:
     def completed(self) -> int:
         return len(self.results) - len(self.failures)
 
+    @property
+    def failed(self) -> Dict[int, TaskFailure]:
+        """The quarantined tasks, keyed by task index."""
+        return {failure.index: failure for failure in self.failures}
+
     def degraded(self) -> Optional[Dict]:
         """The report-ready ``degraded`` block, or None when whole.
 
@@ -289,34 +295,31 @@ class WorkerFaultInjector:
         return cls.from_dict(data)
 
 
-_INSTALLED_FAULT: Optional[WorkerFaultInjector] = None
-
-
 def install_worker_fault(
     injector: Optional[WorkerFaultInjector],
 ) -> Optional[WorkerFaultInjector]:
-    """Install (or clear, with None) the in-process fault injector.
+    """Install (or clear, with None) the worker fault injector.
 
-    Returns the previously installed injector so tests can restore it.
-    fork()ed workers inherit the installed injector by memory snapshot.
+    The injector lives in the ``REPRO_EXEC_FAULT`` environment variable,
+    the channel the CLI reads too, so fork()ed workers inherit it.
+    Returns the previously active injector so tests can restore it.
     """
-    global _INSTALLED_FAULT
-    previous = _INSTALLED_FAULT
-    _INSTALLED_FAULT = injector
+    previous = WorkerFaultInjector.from_env()
+    if injector is None:
+        os.environ.pop(FAULT_ENV, None)
+    else:
+        os.environ[FAULT_ENV] = json.dumps({
+            "mode": injector.mode,
+            "task": injector.task,
+            "attempts": injector.attempts,
+        })
     return previous
-
-
-def active_fault_injector() -> Optional[WorkerFaultInjector]:
-    """The in-process injector, else the ``REPRO_EXEC_FAULT`` one."""
-    if _INSTALLED_FAULT is not None:
-        return _INSTALLED_FAULT
-    return WorkerFaultInjector.from_env()
 
 
 def fault_injection_active() -> bool:
     """True when supervised (forked) execution must be used even at
     ``workers=1`` so kill/hang faults hit a child, not the parent."""
-    return active_fault_injector() is not None
+    return WorkerFaultInjector.from_env() is not None
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +444,7 @@ def _child_main(worker, task, index: int, attempt: int, conn) -> None:
     process exit code.  The test-only fault injector hooks in here —
     the only place it exists at runtime.
     """
-    injector = active_fault_injector()
+    injector = WorkerFaultInjector.from_env()
     inject = injector is not None and injector.applies(index, attempt)
     if inject and injector.mode == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
@@ -775,7 +778,6 @@ __all__ = [
     "MapOutcome",
     "TaskFailure",
     "WorkerFaultInjector",
-    "active_fault_injector",
     "execute",
     "fault_injection_active",
     "install_worker_fault",

@@ -41,19 +41,15 @@ import hashlib
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.execution import (
-    CheckpointStore,
-    ExecutionError,
-    ExecutionPolicy,
-    execute,
-)
+from repro.experiments.campaign import run_campaign, run_cell
+from repro.experiments.execution import ExecutionPolicy
 from repro.experiments.multiclient import ClientSpec, run_multiclient
 from repro.network.traces import get_trace
 from repro.obs import spans
 from repro.obs.attribution import FleetAttributor, format_attribution
-from repro.obs.metrics import scoped_registry
 from repro.obs.rollup import TraceRollup, format_rollup
 from repro.prep.prepare import PreparedVideo, get_prepared
 
@@ -306,22 +302,14 @@ def fleet_session_id(spec: FleetSpec, index: int, group: ClientGroup) -> str:
 # ---------------------------------------------------------------------------
 # The per-shard executor.
 # ---------------------------------------------------------------------------
-#: Fork-inherited worker inputs (the runner's _PARALLEL_* pattern):
-#: children snapshot these at pool creation, so a worker's inputs are
-#: identical to an in-process call.
-_FLEET_SPEC: Optional[FleetSpec] = None
-_FLEET_PREPARED: Optional[Dict[str, PreparedVideo]] = None
-_FLEET_PROFILE: bool = False
-_FLEET_ROWS: bool = False
-
-
 def _run_shard(
     spec: FleetSpec,
     shard: int,
     prepared_map: Optional[Dict[str, PreparedVideo]],
     keep_rows: bool,
+    observers: List,
 ) -> Dict:
-    """Run one cell; return mergeable artifacts only (never traces)."""
+    """Run one cell; return its summary artifacts (never traces)."""
     indices = shard_clients(spec, shard)
     assignment = group_assignment(spec)
     groups = [spec.groups[assignment[i]] for i in indices]
@@ -330,10 +318,6 @@ def _run_shard(
         fleet_session_id(spec, i, group)
         for i, group in zip(indices, groups)
     ]
-    rollup = TraceRollup(
-        sample_rate=spec.sample_rate, sample_seed=spec.sample_seed
-    )
-    attributor = FleetAttributor()
     result = run_multiclient(
         client_specs,
         trace=get_trace(spec.trace, seed=spec.seed + shard),
@@ -346,7 +330,7 @@ def _run_shard(
         request_timeout_s=spec.request_timeout_s,
         retry_budget=spec.retry_budget,
         retry_backoff_s=spec.retry_backoff_s,
-        observers=[rollup.feed, attributor.feed],
+        observers=observers,
         session_ids=session_ids,
     )
     rates = [client.throughput_mbps for client in result.clients]
@@ -378,35 +362,37 @@ def _run_shard(
             float(sum(r * r for r in rates)),
         ],
         "groups": group_stats,
-        "rollup": rollup.to_dict(),
-        "attribution": attributor.to_dict(),
     }
     if keep_rows:
         out["rows"] = result.rows()
     return out
 
 
-def _shard_worker(shard: int) -> Dict:
-    """Process-pool entry point for one shard.
+def _shard_worker(
+    spec: FleetSpec,
+    prepared_map: Optional[Dict[str, PreparedVideo]],
+    keep_rows: bool,
+    profile: bool,
+    shard: int,
+) -> Dict:
+    """One shard as a campaign task: mergeable artifacts only.
 
-    Runs inside a throwaway metrics scope so serial and forked
-    execution leave the parent's process-wide registry in the same
-    state; under ``--profile`` the shard records its own span tree,
-    returned for the parent's in-order fold.
+    The shard's rollup and attributor come from the per-cell harness
+    and return serialized; under ``profile`` the shard records its own
+    span tree, returned for the parent's in-order fold.
     """
-    spec = _FLEET_SPEC
-    profile = _FLEET_PROFILE
-    prof = spans.SpanProfiler() if profile else None
-    prev = spans.install(prof) if profile else None
-    try:
-        with scoped_registry(merge=False):
-            out = _run_shard(spec, shard, _FLEET_PREPARED, _FLEET_ROWS)
-    finally:
-        if profile:
-            prof.finalize()
-            spans.install(prev)
+    cell = run_cell(
+        lambda observers: _run_shard(
+            spec, shard, prepared_map, keep_rows, observers
+        ),
+        profile=profile,
+        sampling=(spec.sample_rate, spec.sample_seed),
+    )
+    out = cell.result
+    out["rollup"] = cell.rollup.to_dict()
+    out["attribution"] = cell.attributor.to_dict()
     if profile:
-        out["spans"] = prof.to_dict()
+        out["spans"] = cell.profiler.to_dict()
     return out
 
 
@@ -525,7 +511,6 @@ def run_fleet(
     shard": each shard records its own tree and the parent folds them
     in shard order, byte-identical at any worker count.
     """
-    global _FLEET_SPEC, _FLEET_PREPARED, _FLEET_PROFILE, _FLEET_ROWS
     parent_prof = spans.current()
     profile = parent_prof is not None
     # Pre-warm every catalog video the population needs: forked workers
@@ -536,40 +521,22 @@ def run_fleet(
     for name in sorted(names):
         get_prepared(name)
 
-    checkpoint = None
-    if checkpoint_dir is not None:
+    outcome = run_campaign(
+        partial(_shard_worker, spec, prepared_map, keep_rows, profile),
+        range(spec.shards),
+        labels=[f"shard {i}" for i in range(spec.shards)],
         # keep_rows/profile change the artifact shape, so they are part
         # of the spool identity: resuming a --profile run from a plain
         # spool would silently fold span-less shards.
-        checkpoint = CheckpointStore(
-            checkpoint_dir,
-            run_key=(
-                f"fleet:{spec.spec_hash()}:rows={int(keep_rows)}:"
-                f"profile={int(profile)}"
-            ),
-            tasks=spec.shards,
-        )
-
-    _FLEET_SPEC = spec
-    _FLEET_PREPARED = prepared_map
-    _FLEET_PROFILE = profile
-    _FLEET_ROWS = keep_rows
-    try:
-        outcome = execute(
-            _shard_worker,
-            list(range(spec.shards)),
-            workers=workers,
-            policy=policy,
-            labels=[f"shard {i}" for i in range(spec.shards)],
-            checkpoint=checkpoint,
-        )
-    finally:
-        _FLEET_SPEC = None
-        _FLEET_PREPARED = None
-        _FLEET_PROFILE = False
-        _FLEET_ROWS = False
-    if strict and outcome.failures:
-        raise ExecutionError(outcome.failures, total=spec.shards)
+        run_key=(
+            f"fleet:{spec.spec_hash()}:rows={int(keep_rows)}:"
+            f"profile={int(profile)}"
+        ),
+        workers=workers,
+        policy=policy,
+        checkpoint_dir=checkpoint_dir,
+        strict=strict,
+    )
 
     # Fold in shard order — the other half of the determinism anchor.
     # Quarantined shards are None slots; the fold skips them (their
@@ -583,7 +550,7 @@ def run_fleet(
     rate_sq = 0.0
     total_clients = 0
     rows: Optional[List[Dict]] = [] if keep_rows else None
-    failed = {failure.index for failure in outcome.failures}
+    failed = outcome.failed
     for shard_index, result in enumerate(outcome.results):
         if shard_index in failed:
             continue

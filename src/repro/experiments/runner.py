@@ -18,24 +18,21 @@ byte-identical to a serial run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
-
 import copy
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.build import StackBuilder
-from repro.experiments.execution import (
-    ExecutionError,
-    execute,
-    validate_workers,
-)
+from repro.experiments.campaign import run_campaign, run_cell
+from repro.experiments.execution import validate_workers
 from repro.core.spec import ScenarioSpec, reliability_mode
 from repro.network.traces import NetworkTrace, get_trace
 from repro.obs import spans
 from repro.obs.metrics import MetricsRegistry, get_registry, scoped_registry
-from repro.obs.profiling import enable_profiling, profiling_enabled, timed
+from repro.obs.profiling import timed
 from repro.obs.tracer import StreamingTracer, Tracer
 from repro.player.metrics import SessionMetrics, percentile_across, stderr_across
 from repro.prep.prepare import PreparedVideo, get_prepared
@@ -157,7 +154,15 @@ class TrialSummary:
 
 
 def _resolve_trace(config) -> NetworkTrace:
-    """The unshifted capacity trace of a config or spec (duck-typed)."""
+    """The capacity trace of a config or spec, before repetition shifts.
+
+    A :class:`~repro.core.spec.ScenarioSpec` resolves exactly as the
+    stack builder resolves it (its ``trace_kwargs`` and its own
+    ``trace_shift_s`` included), so every repetition streams the trace
+    its spec describes.
+    """
+    if isinstance(config, ScenarioSpec):
+        return StackBuilder(config).resolve_trace()
     if config.cross_traffic_mbps is not None:
         return get_trace(f"constant:{config.link_mbps_under_cross}")
     return get_trace(config.trace, seed=config.seed)
@@ -210,41 +215,26 @@ def _rep_session(
     buffer-less :class:`StreamingTracer`, so fleet rollups cost no
     per-event history.
     """
-    prof = spans.SpanProfiler() if profile else None
-    prev = spans.install(prof) if profile else None
-    try:
-        # Install the profiler before building tracer + stack: hot
-        # components capture it at construction.
+
+    def session(_):
+        # Built inside the cell, after its profiler is installed: hot
+        # components capture the profiler at construction.
         if collect_trace:
             tracer = Tracer(observers=observers)
         elif observers:
             tracer = StreamingTracer(observers=observers)
         else:
             tracer = None
-        with scoped_registry(merge=False) as registry:
-            metrics = run_single(
-                config, shift_s=shift_s, prepared=prepared, trace=trace,
-                tracer=tracer,
-            )
-    finally:
-        if profile:
-            prof.finalize()
-            spans.install(prev)
-    jsonl = tracer.to_jsonl() if collect_trace else None
-    return metrics, registry, jsonl, (prof.to_dict() if profile else None)
+        metrics = run_single(
+            config, shift_s=shift_s, prepared=prepared, trace=trace,
+            tracer=tracer,
+        )
+        return metrics, tracer.to_jsonl() if collect_trace else None
 
-
-#: Prepared video handed to fork()ed workers via inheritance: non-catalog
-#: videos (test fixtures, benchmarks) cannot be re-prepared by name in
-#: the child, and pickling a PreparedVideo per task would dwarf the
-#: simulation itself.
-_PARALLEL_PREPARED: Optional[PreparedVideo] = None
-
-#: Mergeable observer algebra handed to fork()ed workers the same way:
-#: ``(state_object, bound_method_name_or_None)`` per observer.  Workers
-#: deep-copy the objects (fork-snapshot state), feed their repetition,
-#: and ship ``to_dict()`` states back for the parent to fold.
-_PARALLEL_OBSERVERS: Optional[List[Tuple[object, Optional[str]]]] = None
+    cell = run_cell(session, profile=profile)
+    metrics, jsonl = cell.result
+    prof_state = cell.profiler.to_dict() if profile else None
+    return metrics, cell.registry, jsonl, prof_state
 
 
 def _observer_algebra(
@@ -270,82 +260,38 @@ def _observer_algebra(
     return None
 
 
-def _trial_worker(
-    task: Tuple[ExperimentConfig, float, bool, bool, bool],
+def _forked_rep(
+    config,
+    prepared: PreparedVideo,
+    trace: NetworkTrace,
+    collect_trace: bool,
+    profile: bool,
+    algebra: Optional[List[Tuple[object, Optional[str]]]],
+    shift_s: float,
 ) -> Tuple[SessionMetrics, MetricsRegistry, Optional[str], Optional[Dict],
            Optional[List[Dict]]]:
-    """Process-pool entry point for one repetition.
+    """One repetition as a campaign task (``workers > 1``).
 
-    The task tuple carries the parent's profiling state explicitly:
-    fork() snapshots module globals at *pool creation*, so a flag
-    flipped after the pool warmed up (or a ``forkserver``/``spawn``
-    context someday) would silently strip ``--profile`` from every
-    worker.  Re-applying it per task makes propagation unconditional.
-
-    Mergeable observers ride the ``_PARALLEL_OBSERVERS`` global: the
-    worker deep-copies each state object (isolating this repetition
-    from its siblings), rebuilds the bound callback on the copy, and
-    returns the serialized states for the parent's in-order fold.
+    Mergeable observers arrive as ``algebra``: the task deep-copies each
+    state object (isolating this repetition from its siblings), rebuilds
+    the bound callback on the copy, and returns the serialized states
+    for the parent's in-order fold.
     """
-    config, shift_s, collect_trace, timers, profile = task
-    enable_profiling(timers)
-    prepared = _PARALLEL_PREPARED
-    if prepared is None or prepared.video.name != config.video:
-        prepared = get_prepared(config.video)
-    trace = _resolve_trace(config)
-    observers = None
-    algebra = None
-    if _PARALLEL_OBSERVERS:
-        algebra = [copy.deepcopy(obj) for obj, _ in _PARALLEL_OBSERVERS]
+    observers = copies = None
+    if algebra:
+        copies = [copy.deepcopy(obj) for obj, _ in algebra]
         observers = [
             obj if attr is None else getattr(obj, attr)
-            for obj, (_, attr) in zip(algebra, _PARALLEL_OBSERVERS)
+            for obj, (_, attr) in zip(copies, algebra)
         ]
     metrics, registry, jsonl, prof_state = _rep_session(
         config, shift_s, prepared, trace, collect_trace, observers,
         profile=profile,
     )
     states = (
-        [obj.to_dict() for obj in algebra] if algebra is not None else None
+        [obj.to_dict() for obj in copies] if copies is not None else None
     )
     return metrics, registry, jsonl, prof_state, states
-
-
-def fork_map(
-    worker,
-    tasks: Sequence,
-    workers: int,
-    labels: Optional[Sequence[str]] = None,
-) -> List:
-    """Fan ``tasks`` out over fork()ed workers, results in task order.
-
-    fork() children inherit the parent's memory snapshot (prepared-video
-    caches, module globals), so inputs are identical to an in-process
-    run; mapping preserves order, so folding results is deterministic.
-    With ``workers=1`` the tasks run serially in-process through the
-    same worker function — the degenerate case every caller's
-    byte-identity claim is anchored to.  ``workers`` must be a positive
-    integer; the effective pool size is capped at ``len(tasks)`` (extra
-    workers would only idle — the cap is visible in
-    :attr:`~repro.experiments.execution.MapOutcome.effective_workers`
-    for callers that go through :func:`execute` directly).
-
-    Execution is supervised (see :mod:`repro.experiments.execution`):
-    crashed, hung, or corrupted workers are retried and, if they keep
-    failing, the error names the failing task by label instead of
-    raising ``BrokenProcessPool``.  Shared machinery of
-    :func:`run_trials`, the sweep/chaos engines, and the fleet
-    executor; engines that need checkpoints or graceful degradation
-    call :func:`~repro.experiments.execution.execute` themselves.
-    """
-    outcome = execute(worker, tasks, workers=workers, labels=labels)
-    if outcome.failures:
-        raise ExecutionError(outcome.failures, total=len(outcome.results))
-    return outcome.results
-
-
-#: Back-compat alias (pre-fleet name).
-_fork_map = fork_map
 
 
 def run_trials(
@@ -380,7 +326,6 @@ def run_trials(
             Plain callables without the algebra still require
             ``workers=1``.
     """
-    global _PARALLEL_PREPARED, _PARALLEL_OBSERVERS
     workers = validate_workers(workers)
     parallel_algebra: Optional[List[Tuple[object, Optional[str]]]] = None
     if observers and workers > 1:
@@ -425,25 +370,13 @@ def run_trials(
                 for shift in shifts
             ]
         else:
-            # fork() workers inherit the prepared video (and any other
-            # process state) by memory snapshot — cheap, and identical
-            # inputs to the serial path.
-            _PARALLEL_PREPARED = prepared
-            _PARALLEL_OBSERVERS = parallel_algebra
-            try:
-                outcomes = fork_map(
-                    _trial_worker,
-                    [
-                        (config, shift, collect_traces,
-                         profiling_enabled(), profile)
-                        for shift in shifts
-                    ],
-                    workers,
-                    labels=[f"repetition {i}" for i in range(reps)],
-                )
-            finally:
-                _PARALLEL_PREPARED = None
-                _PARALLEL_OBSERVERS = None
+            outcomes = run_campaign(
+                partial(_forked_rep, config, prepared, trace,
+                        collect_traces, profile, parallel_algebra),
+                shifts,
+                labels=[f"repetition {i}" for i in range(reps)],
+                workers=workers,
+            ).results
         sessions = []
         traces: List[str] = []
         for metrics, rep_registry, jsonl, prof_state, states in outcomes:

@@ -7,9 +7,9 @@ value lists, plus explicit extra scenarios), :meth:`SweepSpec.expand`
 turns it into concrete :class:`~repro.core.spec.ScenarioSpec` cells
 (deduplicated by content hash), and :func:`run_sweep` executes every
 cell through the experiment runner — fanned out over fork() workers by
-the same machinery :func:`~repro.experiments.runner.run_trials` uses,
-with results folded in grid order so any worker count produces
-byte-identical output.
+the campaign path every engine shares
+(:func:`~repro.experiments.campaign.run_campaign`), with results folded
+in grid order so any worker count produces byte-identical output.
 
 Each scenario yields one JSONL row keyed by the spec's stable content
 hash — the same hash the session stamps into its trace header
@@ -29,25 +29,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.build import StackBuilder
 from repro.core.spec import ScenarioSpec
-from repro.experiments.execution import (
-    CheckpointStore,
-    ExecutionError,
-    ExecutionPolicy,
-    execute,
-)
+from repro.experiments.campaign import run_campaign, run_cell
+from repro.experiments.execution import ExecutionPolicy
 from repro.experiments.runner import TrialSummary, run_trials
-from repro.obs import spans as _spans
-from repro.obs.attribution import FleetAttributor
 from repro.obs.ledger import build_ledger
-from repro.obs.metrics import scoped_registry
-from repro.obs.profiling import enable_profiling, profiling_enabled
-from repro.obs.rollup import TraceRollup
 from repro.prep.prepare import PreparedVideo, get_prepared
 
 #: Keys a result row may carry.  ``summary`` is absent in --dry-run
@@ -144,85 +135,67 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------------
-#: Prepared videos for fork()ed sweep workers, inherited via the fork
-#: memory snapshot: non-catalog videos (test fixtures) cannot be
-#: re-prepared by name in a child process.
-_SWEEP_PREPARED_MAP: Optional[Dict[str, PreparedVideo]] = None
-
-#: ``(sample_rate, sample_seed)`` when the sweep collects streaming
-#: rollups; inherited by fork()ed workers like the prepared map.  The
-#: sampling decision is a pure hash of the session identity, so any
-#: worker partitioning rolls up the same sessions.
-_SWEEP_ROLLUP: Optional[Tuple[float, int]] = None
-
-#: ``(profile, timers)`` snapshot for workers.  fork() freezes module
-#: globals at pool creation, so each worker re-applies the timer flag
-#: explicitly and decides from ``profile`` whether to build a per-cell
-#: span profiler (satellite: ``--profile`` must not be a silent no-op
-#: at ``workers>1``).
-_SWEEP_PROFILE: Optional[Tuple[bool, bool]] = None
-
-
-def _scenario_row(spec: ScenarioSpec, summary: TrialSummary) -> Dict:
-    """One JSONL result row, keyed by the spec's content hash."""
+def identity_row(spec: ScenarioSpec) -> Dict:
+    """The keys every row carries: content hash, label, and spec."""
     return {
         "spec_hash": spec.spec_hash(),
         "label": spec.label(),
         "spec": spec.to_dict(),
-        "summary": dict(
-            summary.row(), repetitions=len(summary.sessions)
-        ),
     }
 
 
-def _sweep_worker(spec: ScenarioSpec) -> Dict:
-    """Run one cell: all its repetitions, in an isolated metrics scope.
+def run_scenario_cell(
+    spec: ScenarioSpec,
+    prepared_map: Optional[Dict[str, PreparedVideo]] = None,
+    profile: bool = False,
+    sampling: Optional[Tuple[float, int]] = None,
+    observers: Sequence = (),
+) -> Tuple[TrialSummary, Dict]:
+    """Run one cell: all its repetitions, under the per-cell harness.
 
     Both the serial and the forked path run exactly this function, so
-    any worker count computes identical rows (the scope also keeps
-    sweep cells from polluting the process-wide metrics registry, just
-    as a fork()ed child's registry dies with the child).
+    any worker count computes identical rows.  ``observers`` see every
+    trace event ahead of the cell's own rollup and attributor (enabled
+    by ``sampling = (sample_rate, sample_seed)``).  Returns the trial
+    summary and the row keys the harness adds: ``rollup`` and
+    ``attribution`` under sampling, ``ledger`` under ``profile``.
     """
-    profile, timers = (
-        _SWEEP_PROFILE
-        if _SWEEP_PROFILE is not None
-        else (False, profiling_enabled())
+    prepared = prepared_map.get(spec.video) if prepared_map else None
+    cell = run_cell(
+        lambda cell_observers: run_trials(
+            spec, prepared=prepared, workers=1,
+            observers=[*observers, *cell_observers] or None,
+        ),
+        profile=profile,
+        sampling=sampling,
     )
-    enable_profiling(timers)
-    prepared = None
-    if _SWEEP_PREPARED_MAP is not None:
-        prepared = _SWEEP_PREPARED_MAP.get(spec.video)
-    rollup = fleet = observers = None
-    if _SWEEP_ROLLUP is not None:
-        rate, seed = _SWEEP_ROLLUP
-        rollup = TraceRollup(sample_rate=rate, sample_seed=seed)
-        fleet = FleetAttributor()
-        observers = [rollup.feed, fleet.feed]
-    # Install the cell profiler before any component is built: spans
-    # capture their profiler at construction time.
-    prof = _spans.SpanProfiler() if profile else None
-    prev = _spans.install(prof) if profile else None
-    t0 = time.perf_counter()
-    try:
-        with scoped_registry(merge=False):
-            summary = run_trials(
-                spec, prepared=prepared, workers=1, observers=observers
-            )
-    finally:
-        if profile:
-            prof.finalize()
-            _spans.install(prev)
-    wall_s = time.perf_counter() - t0
-    row = _scenario_row(spec, summary)
-    if rollup is not None:
-        row["rollup"] = rollup.to_dict()
-        row["attribution"] = fleet.combined().to_dict()
+    extras: Dict = {}
+    if cell.rollup is not None:
+        extras["rollup"] = cell.rollup.to_dict()
+        extras["attribution"] = cell.attributor.combined().to_dict()
     if profile:
-        row["ledger"] = build_ledger(
-            prof, wall_s, label=spec.label(),
+        extras["ledger"] = build_ledger(
+            cell.profiler, cell.wall_s, label=spec.label(),
             spec_hash=spec.spec_hash(), meta=False,
         )
-    return row
+    return cell.result, extras
+
+
+def _sweep_cell(
+    prepared_map: Optional[Dict[str, PreparedVideo]],
+    profile: bool,
+    sampling: Optional[Tuple[float, int]],
+    spec: ScenarioSpec,
+) -> Dict:
+    """One sweep row: identity, trial aggregates, harness keys."""
+    summary, extras = run_scenario_cell(
+        spec, prepared_map, profile=profile, sampling=sampling
+    )
+    return dict(
+        identity_row(spec),
+        summary=dict(summary.row(), repetitions=len(summary.sessions)),
+        **extras,
+    )
 
 
 def sweep_run_key(
@@ -251,17 +224,55 @@ def sweep_run_key(
     return f"{kind}:{digest.hexdigest()[:16]}"
 
 
-def _degraded_row(spec: ScenarioSpec, failure) -> Dict:
-    """The row of a cell that exhausted its retry budget."""
-    return {
-        "spec_hash": spec.spec_hash(),
-        "label": spec.label(),
-        "spec": spec.to_dict(),
-        "degraded": {
-            "attempts": failure.attempts,
-            "causes": list(failure.causes),
-        },
-    }
+def run_cells(
+    task,
+    specs: Sequence[ScenarioSpec],
+    labels: Sequence[str],
+    kind: str = "sweep",
+    prepared_map: Optional[Dict[str, PreparedVideo]] = None,
+    rollup: bool = False,
+    sample_rate: float = 1.0,
+    sample_seed: int = 0,
+    profile: bool = False,
+    **campaign,
+) -> List[Dict]:
+    """The cell campaign behind :func:`run_sweep` and ``run_chaos``.
+
+    Validates every cell (a typo fails here, before any worker starts)
+    and pre-warms its catalog videos (forked workers inherit them by
+    memory snapshot), then fans ``task(prepared_map, profile, sampling,
+    spec)`` out over :func:`~repro.experiments.campaign.run_campaign`
+    (``campaign`` carries its workers/policy/checkpoint_dir/strict),
+    spooled under :func:`sweep_run_key`.  A cell that exhausted its
+    retry budget in a non-strict run yields its identity keys plus a
+    ``degraded`` block (attempts, causes).
+    """
+    for spec in specs:
+        StackBuilder(spec, prepared_map=prepared_map).validate()
+    for video in dict.fromkeys(spec.video for spec in specs):
+        if prepared_map is None or video not in prepared_map:
+            get_prepared(video)
+    outcome = run_campaign(
+        partial(
+            task, prepared_map, bool(profile),
+            (float(sample_rate), int(sample_seed)) if rollup else None,
+        ),
+        specs,
+        labels=labels,
+        run_key=sweep_run_key(
+            specs, rollup=rollup, sample_rate=sample_rate,
+            sample_seed=sample_seed, profile=profile, kind=kind,
+        ),
+        **campaign,
+    )
+    failed = outcome.failed
+    return [
+        dict(identity_row(spec), degraded={
+            "attempts": failed[i].attempts,
+            "causes": list(failed[i].causes),
+        }) if i in failed else row
+        for i, (spec, row) in enumerate(zip(specs, outcome.results))
+    ]
 
 
 def run_sweep(
@@ -315,49 +326,12 @@ def run_sweep(
         spec's stable content hash.
     """
     specs = sweep.expand() if isinstance(sweep, SweepSpec) else list(sweep)
-    for spec in specs:
-        StackBuilder(spec, prepared_map=prepared_map).validate()
-    # Pre-warm the catalog cache so fork()ed workers inherit every
-    # prepared video by memory snapshot instead of re-preparing.
-    for video in dict.fromkeys(spec.video for spec in specs):
-        if prepared_map is None or video not in prepared_map:
-            get_prepared(video)
-    checkpoint = None
-    if checkpoint_dir is not None:
-        checkpoint = CheckpointStore(
-            checkpoint_dir,
-            run_key=sweep_run_key(
-                specs, rollup=rollup, sample_rate=sample_rate,
-                sample_seed=sample_seed, profile=profile,
-            ),
-            tasks=len(specs),
-        )
-    global _SWEEP_PREPARED_MAP, _SWEEP_ROLLUP, _SWEEP_PROFILE
-    _SWEEP_PREPARED_MAP = prepared_map
-    _SWEEP_ROLLUP = (
-        (float(sample_rate), int(sample_seed)) if rollup else None
+    return run_cells(
+        _sweep_cell, specs, [f"cell {spec.label()}" for spec in specs],
+        workers=workers, prepared_map=prepared_map, rollup=rollup,
+        sample_rate=sample_rate, sample_seed=sample_seed, profile=profile,
+        policy=policy, checkpoint_dir=checkpoint_dir, strict=strict,
     )
-    _SWEEP_PROFILE = (bool(profile), profiling_enabled())
-    try:
-        outcome = execute(
-            _sweep_worker,
-            specs,
-            workers=workers,
-            policy=policy,
-            labels=[f"cell {spec.label()}" for spec in specs],
-            checkpoint=checkpoint,
-        )
-    finally:
-        _SWEEP_PREPARED_MAP = None
-        _SWEEP_ROLLUP = None
-        _SWEEP_PROFILE = None
-    if strict and outcome.failures:
-        raise ExecutionError(outcome.failures, total=len(specs))
-    failures = {failure.index: failure for failure in outcome.failures}
-    return [
-        _degraded_row(spec, failures[i]) if i in failures else row
-        for i, (spec, row) in enumerate(zip(specs, outcome.results))
-    ]
 
 
 def dry_run_rows(
@@ -370,15 +344,9 @@ def dry_run_rows(
     in a grid file fails here rather than mid-sweep.
     """
     specs = sweep.expand() if isinstance(sweep, SweepSpec) else list(sweep)
-    rows = []
     for spec in specs:
         StackBuilder(spec, prepared_map=prepared_map).validate()
-        rows.append({
-            "spec_hash": spec.spec_hash(),
-            "label": spec.label(),
-            "spec": spec.to_dict(),
-        })
-    return rows
+    return [identity_row(spec) for spec in specs]
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,10 @@ class EventScheduler:
     further events.
     """
 
+    #: The clock synced to event time before every callback; None for
+    #: a bare scheduler (see :class:`SimKernel`).
+    clock: Optional[Clock] = None
+
     def __init__(self, start: float = 0.0):
         self.now = float(start)
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
@@ -153,9 +157,6 @@ class EventScheduler:
     def empty(self) -> bool:
         return not self._heap
 
-    def _clock_sync(self) -> None:
-        """Hook: subclasses owning a clock sync it to event time."""
-
     def step(self) -> bool:
         """Run the next event; returns False when nothing is pending.
 
@@ -176,13 +177,16 @@ class EventScheduler:
                 cancelled.discard(event_id)
                 continue
             now = self.now
-            if etime < now - 1e-12:
+            if etime > now:
+                self.now = now = etime
+            elif etime < now - 1e-12:
                 raise RuntimeError(
                     f"event scheduled in the past: event time {etime:.9f} "
                     f"precedes kernel time {self.now:.9f}"
                 )
-            self.now = etime if etime > now else now
-            self._clock_sync()
+            clock = self.clock
+            if clock is not None:
+                clock.now = now
             if prof is not None:
                 prof.add_flat("kernel.step", "kernel", perf_counter() - t0)
             callback()
@@ -220,13 +224,7 @@ class EventScheduler:
 
         for waiter in pending:
             waiter.on_wake(_one_done)
-        events = 0
-        while counter[0] > 0:
-            if not self.step():
-                return
-            events += 1
-            if events > max_events:
-                raise RuntimeError("event budget exhausted (livelock?)")
+        self.run_until(lambda: counter[0] <= 0, max_events=max_events)
 
 
 class SimKernel(EventScheduler):
@@ -244,90 +242,6 @@ class SimKernel(EventScheduler):
         super().__init__(start)
         self.clock = clock if clock is not None else Clock(start)
         self.clock.now = self.now
-
-    def _clock_sync(self) -> None:
-        self.clock.now = self.now
-
-    def step(self) -> bool:
-        """Parent semantics with the clock sync inlined.
-
-        The kernel step is the single hottest call of a simulation; the
-        unprofiled path pays neither the ``perf_counter`` probe nor the
-        ``_clock_sync`` hook dispatch.  Under a span profiler the
-        metered parent implementation runs instead.
-        """
-        if self._prof is not None:
-            return super().step()
-        heap = self._heap
-        cancelled = self._cancelled
-        heappop = heapq.heappop
-        while heap:
-            etime, event_id, callback = heappop(heap)
-            if cancelled and event_id in cancelled:
-                cancelled.discard(event_id)
-                continue
-            now = self.now
-            if etime > now:
-                self.now = etime
-                now = etime
-            elif etime < now - 1e-12:
-                raise RuntimeError(
-                    f"event scheduled in the past: event time {etime:.9f} "
-                    f"precedes kernel time {self.now:.9f}"
-                )
-            self.clock.now = now
-            callback()
-            return True
-        return False
-
-    def run_until_all(self, waiters: Sequence["Waiter"],
-                      max_events: int = 50_000_000) -> None:
-        """Parent semantics with the per-event step call inlined.
-
-        Draining a shard pays one Python frame per event in the parent
-        implementation (``run_until_all`` -> ``step``); this unprofiled
-        fast path keeps the heap pop, cancellation filter, clock sync
-        and callback dispatch in a single loop body.  Event order and
-        error behaviour are identical.
-        """
-        if self._prof is not None:
-            return super().run_until_all(waiters, max_events=max_events)
-        pending = [waiter for waiter in waiters if not waiter.fired]
-        if not pending:
-            return
-        counter = [len(pending)]
-
-        def _one_done() -> None:
-            counter[0] -= 1
-
-        for waiter in pending:
-            waiter.on_wake(_one_done)
-        heap = self._heap
-        cancelled = self._cancelled
-        heappop = heapq.heappop
-        clock = self.clock
-        events = 0
-        while counter[0] > 0:
-            if not heap:
-                return
-            etime, event_id, callback = heappop(heap)
-            if cancelled and event_id in cancelled:
-                cancelled.discard(event_id)
-                continue
-            now = self.now
-            if etime > now:
-                self.now = etime
-                now = etime
-            elif etime < now - 1e-12:
-                raise RuntimeError(
-                    f"event scheduled in the past: event time {etime:.9f} "
-                    f"precedes kernel time {self.now:.9f}"
-                )
-            clock.now = now
-            callback()
-            events += 1
-            if events > max_events:
-                raise RuntimeError("event budget exhausted (livelock?)")
 
     def _make_process(
         self, process: Process

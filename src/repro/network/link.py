@@ -187,88 +187,47 @@ class BottleneckLink:
         Returns how many packets survived, how many were tail-dropped,
         and the RTT the round experienced.  Advancing the clock is the
         caller's job (by ``rtt``).
+
+        Single-flow rounds keep the historical accounting: the full
+        service rate applies over the round's own RTT (same-round
+        lookahead).  Shared rounds drain first — service since the last
+        offer from *any* flow — then add this burst's arrivals with no
+        lookahead, so N overlapping rounds cannot multiply the link's
+        capacity by N.
         """
         if packets < 0:
             raise ValueError("cannot offer a negative burst")
         prof = self._prof
-        if prof is not None:
-            frame = prof.push("link.offer", "link")
-            try:
-                if self._shared:
-                    return self._offer_round_shared(t, packets)
-                return self._offer_round_single(t, packets)
-            finally:
-                prof.pop(frame)
-        if not self._shared:
-            return self._offer_round_single(t, packets)
-        # Unprofiled shared rounds run inline — a verbatim copy of
-        # _offer_round_shared (kept as the metered/single-call form) so
-        # the hottest call in a fleet shard costs one frame, not two.
+        frame = prof.push("link.offer", "link") if prof is not None else None
         mtu = self.mtu
         plan = self.fault_plan
         service = self._const_bps
         if service is None:
             service = self.available_bps(t)
         queue = self.queue_bytes
-        last_t = self._last_service_t
-        if last_t is not None and t > last_t:
-            queue -= service * (t - last_t) / 8.0
-            if queue < 0.0:
-                queue = 0.0
-        self._last_service_t = t
+        shared = self._shared
+        if shared:
+            last_t = self._last_service_t
+            if last_t is not None and t > last_t:
+                queue -= service * (t - last_t) / 8.0
+                if queue < 0.0:
+                    queue = 0.0
+            self._last_service_t = t
 
+        # Queueing delay seen by this burst: the backlog already ahead
+        # of it at arrival.
         rtt_base = self.base_rtt if plan is None \
             else self.base_rtt + plan.extra_latency(t)
         rtt = rtt_base + queue * 8.0 / service
 
-        backlog = queue + packets * mtu
-        limit = self.queue_packets * mtu
-        if backlog > limit:
-            self.queue_bytes = limit
-            dropped = int((backlog - limit) // mtu)
-            if dropped > packets:
-                dropped = packets
+        if shared:
+            backlog = queue + packets * mtu
         else:
-            self.queue_bytes = backlog
-            dropped = 0
-
-        delivered = packets - dropped
-        if plan is not None:
-            injected = self._inject_loss(t, delivered)
-            dropped += injected
-            delivered -= injected
-        self.offered_packets += packets
-        self.delivered_packets += delivered
-        self.dropped_packets += dropped
-        self._ctr_offered.inc(packets)
-        if dropped:
-            self._ctr_dropped.inc(dropped)
-        self._gauge_queue.set(self.queue_bytes)
-        return RoundOutcome(
-            delivered_packets=delivered,
-            dropped_packets=dropped,
-            rtt=rtt,
-            bandwidth_bps=service,
-        )
-
-    def _offer_round_single(self, t: float, packets: int) -> RoundOutcome:
-        """Historical single-flow accounting (full rate over own RTT)."""
-        mtu = self.mtu
-        plan = self.fault_plan
-        service = self._const_bps
-        if service is None:
-            service = self.available_bps(t)
-        rtt_base = self.base_rtt if plan is None \
-            else self.base_rtt + plan.extra_latency(t)
-        rtt = rtt_base + self.queue_bytes * 8.0 / service
-
-        # Bytes the link can serve while this round is in flight.
-        serviceable = service * rtt / 8.0
-        arrivals = packets * mtu
-
-        backlog = self.queue_bytes + arrivals - serviceable
-        if backlog < 0:
-            backlog = 0.0
+            # Minus the bytes the link serves while this round is in
+            # flight.
+            backlog = queue + packets * mtu - service * rtt / 8.0
+            if backlog < 0:
+                backlog = 0.0
         limit = self.queue_packets * mtu
         if backlog > limit:
             self.queue_bytes = limit
@@ -293,64 +252,8 @@ class BottleneckLink:
         if dropped:
             self._ctr_dropped.inc(dropped)
         self._gauge_queue.set(self.queue_bytes)
-        return RoundOutcome(
-            delivered_packets=delivered,
-            dropped_packets=dropped,
-            rtt=rtt,
-            bandwidth_bps=service,
-        )
-
-    def _offer_round_shared(self, t: float, packets: int) -> RoundOutcome:
-        """Continuous-service round accounting for N concurrent flows.
-
-        Drain first (service since the last offer from *any* flow), then
-        add this burst's arrivals with no same-round lookahead — the
-        service the single-flow path would grant this round is instead
-        granted to whoever offers next, over real elapsed time, so N
-        overlapping rounds cannot multiply the link's capacity by N.
-        """
-        mtu = self.mtu
-        plan = self.fault_plan
-        service = self._const_bps
-        if service is None:
-            service = self.available_bps(t)
-        queue = self.queue_bytes
-        last_t = self._last_service_t
-        if last_t is not None and t > last_t:
-            queue -= service * (t - last_t) / 8.0
-            if queue < 0.0:
-                queue = 0.0
-        self._last_service_t = t
-
-        # Queueing delay seen by this burst: the backlog already ahead
-        # of it at arrival.
-        rtt_base = self.base_rtt if plan is None \
-            else self.base_rtt + plan.extra_latency(t)
-        rtt = rtt_base + queue * 8.0 / service
-
-        backlog = queue + packets * mtu
-        limit = self.queue_packets * mtu
-        if backlog > limit:
-            self.queue_bytes = limit
-            dropped = int((backlog - limit) // mtu)
-            if dropped > packets:
-                dropped = packets
-        else:
-            self.queue_bytes = backlog
-            dropped = 0
-
-        delivered = packets - dropped
-        if plan is not None:
-            injected = self._inject_loss(t, delivered)
-            dropped += injected
-            delivered -= injected
-        self.offered_packets += packets
-        self.delivered_packets += delivered
-        self.dropped_packets += dropped
-        self._ctr_offered.inc(packets)
-        if dropped:
-            self._ctr_dropped.inc(dropped)
-        self._gauge_queue.set(self.queue_bytes)
+        if frame is not None:
+            prof.pop(frame)
         return RoundOutcome(
             delivered_packets=delivered,
             dropped_packets=dropped,

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import json
 import platform
-import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs import spans
 from repro.obs.spans import SpanProfiler
 
 LEDGER_SCHEMA_VERSION = 1
@@ -39,22 +37,18 @@ def profile_trials(
     ledger's throughput figure measures simulation, not one-time
     offline analysis.
     """
+    from repro.experiments.campaign import run_cell
     from repro.experiments.runner import run_trials
 
     if prepared is None:
         from repro.prep.prepare import get_prepared
 
         prepared = get_prepared(config.video)
-    profiler = SpanProfiler()
-    previous = spans.install(profiler)
-    t0 = time.perf_counter()
-    try:
-        summary = run_trials(config, prepared=prepared, workers=workers)
-    finally:
-        profiler.finalize()
-        spans.install(previous)
-    wall_s = max(time.perf_counter() - t0, 1e-9)
-    return profiler, summary, wall_s
+    cell = run_cell(
+        lambda _: run_trials(config, prepared=prepared, workers=workers),
+        profile=True,
+    )
+    return cell.profiler, cell.result, max(cell.wall_s, 1e-9)
 
 
 def build_ledger(

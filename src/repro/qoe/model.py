@@ -31,12 +31,12 @@ agnostic" in this reproduction, matching §5.2/Fig. 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
 from repro.video.encoder import EncodedSegment
-from repro.video.frames import FrameType, SegmentFrames
+from repro.video.frames import SegmentFrames
 
 
 @dataclass(frozen=True)
@@ -143,19 +143,15 @@ class _SegmentDecodeContext:
                     self.depth_groups.append(("v", group))
 
 
-_CONTEXT_CACHE: Dict[int, _SegmentDecodeContext] = {}
-
-
 def _context(frames: SegmentFrames) -> _SegmentDecodeContext:
-    key = id(frames)
-    ctx = _CONTEXT_CACHE.get(key)
+    """The segment's decode context, built once and kept on the segment.
+
+    Living on the frames object ties the context's lifetime to the
+    segment's, so a freed segment's context can never serve another.
+    """
+    ctx = getattr(frames, "_decode_context", None)
     if ctx is None:
-        ctx = _SegmentDecodeContext(frames)
-        # Bound the cache: segments are cached library-wide anyway, but we
-        # guard against unbounded growth from ad-hoc segments in tests.
-        if len(_CONTEXT_CACHE) > 20000:
-            _CONTEXT_CACHE.clear()
-        _CONTEXT_CACHE[key] = ctx
+        ctx = frames._decode_context = _SegmentDecodeContext(frames)
     return ctx
 
 

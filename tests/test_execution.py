@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.experiments.campaign import run_campaign
 from repro.experiments.execution import (
     CheckpointError,
     CheckpointStore,
@@ -26,7 +27,6 @@ from repro.experiments.execution import (
     ExecutionPolicy,
     TaskFailure,
     WorkerFaultInjector,
-    active_fault_injector,
     execute,
     fault_injection_active,
     install_worker_fault,
@@ -34,7 +34,6 @@ from repro.experiments.execution import (
     validate_workers,
 )
 from repro.experiments.fleet import ClientGroup, FleetSpec, run_fleet
-from repro.experiments.runner import fork_map
 
 # Mirrors tests/test_fleet.py — an independent anchor for the claim
 # that supervision, retry, and resume are invisible in clean output.
@@ -274,7 +273,7 @@ class TestExecutionError:
     def test_message_names_tasks_never_broken_pool(self, fault):
         fault(mode="kill", task=0, attempts=99)
         with pytest.raises(ExecutionError) as info:
-            fork_map(
+            run_campaign(
                 _square, range(3), workers=2,
                 labels=["shard alpha", "shard beta", "shard gamma"],
             )
@@ -315,7 +314,7 @@ class TestFaultInjector:
             "REPRO_EXEC_FAULT",
             json.dumps({"mode": "hang", "task": 1, "attempts": 4}),
         )
-        injector = active_fault_injector()
+        injector = WorkerFaultInjector.from_env()
         assert injector == WorkerFaultInjector(
             mode="hang", task=1, attempts=4
         )
@@ -324,14 +323,14 @@ class TestFaultInjector:
     def test_from_env_bad_json_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_FAULT", "{not json")
         with pytest.raises(ValueError, match="unparseable JSON"):
-            active_fault_injector()
+            WorkerFaultInjector.from_env()
 
     def test_from_dict_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown fault injector"):
             WorkerFaultInjector.from_dict({"mode": "kill", "pid": 1})
 
     def test_inactive_by_default(self):
-        assert active_fault_injector() is None
+        assert WorkerFaultInjector.from_env() is None
         assert not fault_injection_active()
 
 

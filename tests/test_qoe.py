@@ -1,5 +1,8 @@
 """Tests for the analytic QoE model and metric front-ends."""
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,12 @@ from repro.qoe.model import (
     DEFAULT_PARAMS,
     QoEParams,
     decode_segment,
+    decode_segment_scalar,
     pristine_score,
 )
+from repro.video.encoder import encode_video
+
+from conftest import TINY_PROFILE
 
 
 class TestEncodingDistortion:
@@ -128,6 +135,33 @@ class TestDecode:
         harsh_score = decode_segment(segment, params=harsh, dropped=[90]).score
         soft_score = decode_segment(segment, params=soft, dropped=[90]).score
         assert harsh_score < soft_score
+
+
+class TestDecodeContextLifetime:
+    def test_fresh_encodes_never_decode_against_freed_ones(self):
+        # Encodes freed one after another hand their object ids to the
+        # next; a decode context keyed by id alone would be served stale.
+        mismatched = []
+        for salt in range(1, 9):
+            video = encode_video(
+                dataclasses.replace(TINY_PROFILE, seed_salt=salt)
+            )
+            for level in video.segments:
+                for segment in level:
+                    n = len(segment.frames)
+                    dropped = list(range(n // 2, n))
+                    fast = decode_segment(segment, dropped=dropped)
+                    slow = decode_segment_scalar(segment, dropped=dropped)
+                    if not (
+                        np.array_equal(fast.frame_scores, slow.frame_scores)
+                        and fast.score == slow.score
+                    ):
+                        mismatched.append(
+                            (salt, segment.quality, segment.index)
+                        )
+            del video, level, segment
+            gc.collect()
+        assert mismatched == []
 
 
 class TestMetrics:

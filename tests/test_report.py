@@ -12,7 +12,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.chaos import chaos_rows_to_jsonl, run_chaos
+from repro.experiments.chaos import run_chaos
+from repro.experiments.sweep import rows_to_jsonl
 from repro.obs import events as ev
 from repro.obs.events import SchemaError
 from repro.obs.report import build_report, render_markdown, report_to_json
@@ -28,7 +29,7 @@ def chaos_jsonl(tiny_prepared, tmp_path_factory):
         rollup=True,
     )
     path = tmp_path_factory.mktemp("report") / "chaos.jsonl"
-    path.write_text(chaos_rows_to_jsonl(rows))
+    path.write_text(rows_to_jsonl(rows))
     return str(path)
 
 
