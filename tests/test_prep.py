@@ -1,5 +1,7 @@
 """Tests for the offline preparation: orderings, analysis, prepare()."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,39 @@ class TestPrepare:
         ps = tiny_prepared.prepared_segment(12, 0)
         assert ps.entry.quality == 12
         assert ps.curve.points
+
+
+class TestPrepGolden:
+    """Byte anchors for the offline analysis: any change to the scores,
+    the chosen orderings or the byte counts of a preparation shows here."""
+
+    MANIFEST_SHA = (
+        "1964f55152f5ed33463cb22075c0717106c0a30d643539214c9be07e48a7fc47"
+    )
+    CURVE_SHA = (
+        "7bb4eb25746be80958b16f12900e85caaec9f0a9e3e5a2b9cf02d71ba60dedb6"
+    )
+
+    def test_tiny_manifest_sha(self, tiny_prepared):
+        text = tiny_prepared.manifest.serialize()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.MANIFEST_SHA
+
+    def test_drop_curve_points(self, tiny_video):
+        curve = compute_drop_curve(tiny_video.segment(8, 2), Ordering.QOE_RANK)
+        assert len(curve.points) == 54
+        head = curve.points[0]
+        assert (head.dropped, head.frames_delivered, head.bytes_needed) == (
+            0, 96, 1364223,
+        )
+        assert head.score == float.fromhex("0x1.f603dec84dc4fp-1")
+        tail = curve.points[-1]
+        assert (tail.dropped, tail.frames_delivered, tail.bytes_needed) == (
+            95, 1, 226311,
+        )
+        assert tail.score == float.fromhex("0x1.9d382e095da1fp-3")
+        text = "".join(
+            f"{p.dropped} {p.frames_delivered} {p.bytes_needed} "
+            f"{p.score.hex()}\n"
+            for p in curve.points
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.CURVE_SHA
