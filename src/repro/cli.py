@@ -362,7 +362,11 @@ def _campaign_options(args: argparse.Namespace) -> Dict:
     nor ``--task-retries`` was given, keeping the default policy (and
     the serial in-process fast path at ``--workers 1``).  CLI runs never
     raise on exhausted tasks: they degrade and exit 3.
+
+    Raises ``ValueError`` (the caller exits 2) when ``--out`` cannot be
+    written, so a bad path fails before any task runs.
     """
+    _check_out(args.out)
     policy = None
     if args.task_timeout is not None or args.task_retries is not None:
         from repro.experiments.execution import DEFAULT_POLICY, ExecutionPolicy
@@ -378,6 +382,26 @@ def _campaign_options(args: argparse.Namespace) -> Dict:
         workers=args.workers, policy=policy, checkpoint_dir=args.resume,
         strict=False,
     )
+
+
+def _check_out(path: Optional[str]) -> None:
+    """Raise ``ValueError`` unless ``--out`` names a file that can be
+    created: its directory exists and is writable, and it is not itself
+    a directory."""
+    if not path:
+        return
+    import os
+
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no such directory {parent!r}"
+    elif not os.access(parent, os.W_OK):
+        reason = f"directory {parent!r} is not writable"
+    else:
+        return
+    raise ValueError(f"cannot write {path!r}: {reason}")
 
 
 def _write_out(path: Optional[str], text: str, what: str) -> bool:

@@ -17,16 +17,20 @@ the kept frames).  From the curves we derive:
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.prep.ranking import Ordering, build_order
-from repro.qoe.model import DEFAULT_PARAMS, QoEParams, decode_segment
+from repro.qoe.model import (
+    DEFAULT_PARAMS,
+    QoEParams,
+    decode_scores,
+    decode_segment,
+)
 from repro.video.encoder import EncodedSegment
-from repro.video.frames import FrameType
 
 
 @dataclass(frozen=True)
@@ -136,38 +140,57 @@ def _drop_grid(n_droppable: int, fine_until: int = 32, stride: int = 3) -> List[
     return sorted(set(k for k in ks if 0 <= k <= n_droppable))
 
 
+def tail_drop_masks(
+    num_frames: int, order: Sequence[int], ks: Sequence[int]
+) -> np.ndarray:
+    """(len(ks) x num_frames) drop masks: row r drops the last ``ks[r]``
+    frames of ``order``; frames outside the order (the I-frame) are kept."""
+    position = np.full(num_frames, -1)
+    position[list(order)] = np.arange(len(order))
+    return position >= (len(order) - np.asarray(ks))[:, None]
+
+
 def compute_drop_curve(
     segment: EncodedSegment,
     ordering: Ordering,
     params: QoEParams = DEFAULT_PARAMS,
     grid: Optional[Sequence[int]] = None,
+    *,
+    order: Optional[Sequence[int]] = None,
+    scores: Optional[Sequence[float]] = None,
 ) -> DropCurve:
-    """Evaluate the drop curve of a segment under an ordering."""
-    order = build_order(segment.frames, ordering)
+    """Evaluate the drop curve of a segment under an ordering.
+
+    ``order`` is the ordering's frame order and ``scores`` the segment
+    score after dropping its last k frames, for every k from 0 to
+    ``len(order)``, when the caller has them already; by default the
+    order is built and the grid is scored in one batched decode.
+    """
+    order = list(order) if order is not None else build_order(
+        segment.frames, ordering
+    )
     n_droppable = len(order)
     ks = list(grid) if grid is not None else _drop_grid(n_droppable)
+    if scores is None:
+        masks = tail_drop_masks(len(segment.frames), order, ks)
+        grid_scores = decode_scores(segment, masks, params).tolist()
+    else:
+        grid_scores = [float(scores[k]) for k in ks]
 
-    base_reliable = reliable_bytes(segment)
-    payloads = {
-        frame.index: frame.payload_bytes for frame in segment.frames
-    }
-    total_payload = sum(
-        payloads[idx] for idx in order
-    )
-
-    points: List[DropPoint] = []
-    for k in ks:
-        dropped = order[n_droppable - k:] if k else []
-        result = decode_segment(segment, params=params, dropped=dropped)
-        dropped_payload = sum(payloads[idx] for idx in dropped)
-        points.append(
-            DropPoint(
-                dropped=k,
-                frames_delivered=len(segment.frames) - k,
-                bytes_needed=base_reliable + total_payload - dropped_payload,
-                score=result.score,
-            )
+    # Bytes needed = everything but the payloads of the dropped tail
+    # (an order holds every frame but the I-frame).
+    payloads = [frame.payload_bytes for frame in segment.frames]
+    dropped_payload = [0, *accumulate(payloads[idx] for idx in reversed(order))]
+    total = segment.total_bytes
+    points = [
+        DropPoint(
+            dropped=k,
+            frames_delivered=len(segment.frames) - k,
+            bytes_needed=total - dropped_payload[k],
+            score=score,
         )
+        for k, score in zip(ks, grid_scores)
+    ]
     return DropCurve(segment=segment, ordering=ordering, order=order, points=points)
 
 

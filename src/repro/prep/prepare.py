@@ -6,8 +6,9 @@ for every segment and quality level it
 1. takes the pristine score of the next-lower level as the *lower bound*,
 2. picks the frame ordering that needs the fewest bytes to beat that
    bound (:func:`repro.prep.analysis.choose_best_ordering`, accelerated
-   here with a monotone binary search),
-3. evaluates the drop curve under the chosen ordering,
+   here: one batched decode scores every tail-drop count of every
+   ordering, then a binary search finds each ordering's tolerance),
+3. evaluates the drop curve under the chosen ordering from those scores,
 4. distills it into manifest quality points (virtual quality levels), and
 5. emits the byte ranges for reliable (I-frame + headers) and unreliable
    (payloads, in priority order) delivery.
@@ -20,14 +21,16 @@ the paper's "compute once, reuse indefinitely" manifest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.prep.analysis import (
     DropCurve,
-    DropPoint,
     compute_drop_curve,
     reliable_bytes,
+    tail_drop_masks,
     virtual_levels,
 )
 from repro.prep.manifest import (
@@ -37,7 +40,9 @@ from repro.prep.manifest import (
     VoxelManifest,
 )
 from repro.prep.ranking import Ordering, build_order
-from repro.qoe.model import DEFAULT_PARAMS, QoEParams, decode_segment, pristine_score
+from repro.qoe.model import DEFAULT_PARAMS, QoEParams, decode_scores, pristine_score
+# Unused here; bound so every by-name import of the decode stays traceable.
+from repro.qoe.model import decode_segment  # noqa: F401
 from repro.video.encoder import EncodedSegment, EncodedVideo
 from repro.video.library import get_video
 
@@ -76,76 +81,56 @@ class PreparedVideo:
         return self.prepared[quality][index]
 
 
-def _max_tolerable_drops(
-    segment: EncodedSegment,
-    order: Sequence[int],
-    bound: float,
-    params: QoEParams,
-) -> int:
+def _max_tolerable_drops(scores: Sequence[float], bound: float) -> int:
     """Largest tail-drop count whose score still meets ``bound``.
 
+    ``scores[k]`` is the segment score with the last k frames dropped.
     Scores are monotone non-increasing in the drop count (dropping more
-    frames only ever adds error), so a binary search suffices.
+    frames only ever adds error), so a binary search suffices.  Where a
+    curve is not monotone the answer is whatever this search finds, so
+    it must stay a binary search to keep the manifests unchanged.
     """
-    n = len(order)
-
-    def score(k: int) -> float:
-        dropped = order[n - k:] if k else []
-        return decode_segment(segment, params=params, dropped=dropped).score
-
-    if score(0) < bound:
+    if scores[0] < bound:
         return -1  # even pristine misses the bound
-    lo, hi = 0, n
+    lo, hi = 0, len(scores) - 1
     # Invariant: score(lo) >= bound; score(hi+1 side) unknown/short.
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if score(mid) >= bound:
+        if scores[mid] >= bound:
             lo = mid
         else:
             hi = mid - 1
     return lo
 
 
-def _bytes_at_drops(
-    segment: EncodedSegment, order: Sequence[int], drops: int, base_reliable: int
-) -> int:
-    payloads = {frame.index: frame.payload_bytes for frame in segment.frames}
-    kept = order[: len(order) - drops]
-    return base_reliable + sum(payloads[idx] for idx in kept)
-
-
 def _choose_ordering_fast(
     segment: EncodedSegment,
     bound: float,
     params: QoEParams,
-    orderings: Sequence[Ordering],
-) -> Ordering:
-    """Ordering needing the fewest bytes to beat ``bound`` (binary search)."""
-    base_reliable = reliable_bytes(segment)
-    best_ordering = orderings[0]
-    best_bytes: Optional[int] = None
-    for ordering in orderings:
-        order = build_order(segment.frames, ordering)
-        drops = _max_tolerable_drops(segment, order, bound, params)
-        if drops < 0:
-            needed = _bytes_at_drops(segment, order, 0, base_reliable)
-        else:
-            needed = _bytes_at_drops(segment, order, drops, base_reliable)
-        if best_bytes is None or needed < best_bytes:
-            best_bytes = needed
-            best_ordering = ordering
-    return best_ordering
+    orders: Dict[Ordering, List[int]],
+) -> Tuple[Ordering, np.ndarray]:
+    """Ordering needing the fewest bytes to beat ``bound``, and its scores.
 
-
-def _segment_ranges(
-    segment: EncodedSegment, order: Sequence[int], base_offset: int
-) -> Tuple[Tuple[int, int], ...]:
-    """Frame byte ranges in download-priority order, absolute offsets."""
-    offsets = segment.frames.frame_offsets()
-    return tuple(
-        (base_offset + offsets[idx][0], base_offset + offsets[idx][1])
-        for idx in order
+    Every tail-drop prefix of every order (a permutation of frames
+    1..n-1) is scored in one batched decode; the returned row holds the
+    chosen ordering's score for each drop count 0..n-1.
+    """
+    n = len(segment.frames)
+    masks = np.concatenate(
+        [tail_drop_masks(n, order, range(n)) for order in orders.values()]
     )
+    scores = decode_scores(segment, masks, params).reshape(len(orders), n)
+    payloads = [frame.payload_bytes for frame in segment.frames]
+    total = segment.total_bytes
+    best: Optional[Tuple[int, Ordering, np.ndarray]] = None
+    for (ordering, order), row in zip(orders.items(), scores):
+        drops = max(_max_tolerable_drops(row, bound), 0)
+        # Everything but the payloads of the dropped tail.
+        needed = total - sum(payloads[idx] for idx in order[n - 1 - drops:])
+        if best is None or needed < best[0]:
+            best = (needed, ordering, row)
+    assert best is not None
+    return best[1], best[2]
 
 
 def prepare(
@@ -188,10 +173,17 @@ def prepare(
                 lower = video.segment(quality - 1, index)
                 lower_bound = pristine_score(lower, params=params)
 
-            ordering = _choose_ordering_fast(
-                segment, lower_bound, params, orderings
+            orders = {
+                ordering: build_order(segment.frames, ordering)
+                for ordering in orderings
+            }
+            ordering, scores = _choose_ordering_fast(
+                segment, lower_bound, params, orders
             )
-            curve = compute_drop_curve(segment, ordering, params=params)
+            curve = compute_drop_curve(
+                segment, ordering, params=params,
+                order=orders[ordering], scores=scores,
+            )
             points = virtual_levels(
                 curve, lower_bound, min_score_step=min_score_step
             )
@@ -206,20 +198,19 @@ def prepare(
                 for p in points
             )
 
-            frames = segment.frames
-            frame_offsets = frames.frame_offsets()
-            reliable_ranges: List[Tuple[int, int]] = [
+            frame_offsets = segment.frames.frame_offsets()
+            headers = [frame.header_bytes for frame in segment.frames]
+            reliable_ranges = [
                 (offset + frame_offsets[0][0], offset + frame_offsets[0][1])
             ]
-            for frame in frames:
-                if frame.index == 0:
-                    continue
-                start = offset + frame_offsets[frame.index][0]
-                reliable_ranges.append((start, start + frame.header_bytes))
+            reliable_ranges.extend(
+                (offset + start, offset + start + header)
+                for (start, _), header in zip(frame_offsets[1:], headers[1:])
+            )
 
             unreliable_ranges = tuple(
                 (
-                    offset + frame_offsets[idx][0] + frames[idx].header_bytes,
+                    offset + frame_offsets[idx][0] + headers[idx],
                     offset + frame_offsets[idx][1],
                 )
                 for idx in curve.order

@@ -176,13 +176,11 @@ class SegmentFrames:
         # topological pass over the DAG.
         order = self._topological_order()
         influence: Dict[int, float] = {frame.index: 0.0 for frame in self.frames}
-        inbound = self.inbound_references()
         # Walk referrers before referees so each node's influence is final
         # when it is propagated downwards.
         for idx in order:
             for referee, weight in self.frames[idx].references:
                 influence[referee] += weight * (1.0 + influence[idx])
-        del inbound
         return influence
 
     def _topological_order(self) -> List[int]:
@@ -192,7 +190,6 @@ class SegmentFrames:
         (a frame cannot reference itself or form cycles), so Kahn's
         algorithm over outbound edges suffices.
         """
-        outdeg = {frame.index: len(frame.references) for frame in self.frames}
         inbound = self.inbound_references()
         # Start from frames nobody waits on being processed: frames with all
         # referrers already emitted.  We invert: process frames whose
@@ -209,7 +206,6 @@ class SegmentFrames:
                     ready.append(referee)
         if len(out) != len(self.frames):
             raise ValueError("reference graph contains a cycle")
-        del outdeg
         return out
 
 

@@ -1,8 +1,9 @@
 """Shared fixtures.
 
 Heavy objects (encoded videos, prepared manifests) are session-scoped:
-encoding realizes 75 x 13 x 96 frames of structure and preparation runs
-tens of thousands of decode simulations, so tests share one instance.
+encoding realizes 75 x 13 x 96 frames of structure and preparation
+scores about 400 drop masks per segment-level (one batched decode each,
+nearly a thousand for a catalog video), so tests share one instance.
 A "tiny" 6-segment video keeps tests that need preparation fast.
 """
 

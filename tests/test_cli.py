@@ -322,3 +322,35 @@ class TestFleetCli:
     def test_fleet_bad_spec_exits_2(self, capsys):
         assert main(["fleet", "--spec", "{\"shardz\": 3}"]) == 2
         assert "unknown" in capsys.readouterr().err.lower()
+
+
+class TestCampaignOut:
+    """``--out`` is checked before a campaign runs, not after."""
+
+    @pytest.mark.parametrize("argv, engine", [
+        (["fleet", "bbb", "--clients", "24", "--shards", "3"],
+         "repro.experiments.fleet.run_fleet"),
+        (["sweep", "--videos", "bbb", "--abrs", "bola"],
+         "repro.experiments.sweep.run_sweep"),
+        (["faults", "--profiles", "resets", "--seeds", "0"],
+         "repro.experiments.chaos.run_chaos"),
+    ])
+    def test_missing_directory_exits_2_before_running(
+        self, tmp_path, monkeypatch, capsys, argv, engine
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the campaign ran before --out was checked")
+
+        monkeypatch.setattr(engine, must_not_run)
+        target = str(tmp_path / "missing" / "x.json")
+        assert main(argv + ["--out", target]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write {target!r}" in err
+        assert ".tmp" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_directory_as_out_exits_2(self, tmp_path, capsys):
+        argv = ["fleet", "bbb", "--clients", "2", "--shards", "1",
+                "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "is a directory" in capsys.readouterr().err
